@@ -6,7 +6,7 @@
 
 GO ?= go
 
-.PHONY: all build vet test check race faults bench bench-parallel bench-json bench-compare bench-smoke-large service-smoke fleet-smoke trace-smoke watch-smoke tenant-smoke explore-smoke clean
+.PHONY: all build vet test check race faults bench bench-parallel bench-json bench-compare bench-smoke-large service-smoke trace-smoke watch-smoke tenant-smoke explore-smoke clean
 
 all: check
 
@@ -42,12 +42,6 @@ service-smoke:
 trace-smoke:
 	sh scripts/trace_smoke.sh
 
-# End-to-end smoke of the fleet features: two replicas sharing a
-# -warmstart-dir, snapshot write-behind and fetch, and a kill/restart
-# whose first solve derives zero structure (scripts/fleet_smoke.sh).
-fleet-smoke:
-	sh scripts/fleet_smoke.sh
-
 # End-to-end smoke of the /v1/watch streaming reconfiguration service:
 # srsched -watch, raw SSE with Last-Event-ID resume, watch metrics,
 # and closing frames on SIGTERM drain (scripts/watch_smoke.sh).
@@ -76,7 +70,7 @@ bench:
 # Fig. 5/7 panels, the serial sweep, and the CP-simulator replay,
 # rendered to JSON (ns/op, B/op, allocs/op, shape metrics) by
 # cmd/benchjson.
-BENCH_JSON_SUITE = ScheduleComputeSixCube$$|ScheduleTenCube$$|ScheduleTorus32$$|Fig5|Fig7|CPSimPacketReplay|SerialSweepFig5SixCubeB64|ColdVsWarmStartTenCube|ScheduleBatch64|TenantAdmitSixCube$$|ExploreSixCube$$
+BENCH_JSON_SUITE = ScheduleComputeSixCube$$|ScheduleTenCube$$|ScheduleTorus32$$|Fig5|Fig7|CPSimPacketReplay|SerialSweepFig5SixCubeB64|ScheduleBatch64|TenantAdmitSixCube$$|ExploreSixCube$$
 
 # The baseline records three runs per benchmark so the compare gate's
 # min-of-3 meets a min-of-3 baseline: a single lucky baseline run would
@@ -88,8 +82,8 @@ bench-json:
 # Perf gate: rerun the bench-json suite and fail on a >10% regression
 # in ns/op, B/op or allocs/op against the committed BENCH_schedule.json
 # baseline. Each benchmark runs three times and the smallest value per
-# metric is compared (min-of-N filters scheduler noise; a real
-# regression slows every run, and allocs/op is deterministic anyway).
+# metric is compared: min-of-N filters scheduler noise, which slows
+# some runs, while a real regression slows every run.
 bench-compare:
 	$(GO) test -run XXX -bench '$(BENCH_JSON_SUITE)' \
 		-benchmem -benchtime 2x -count 3 . | $(GO) run ./cmd/benchjson | $(GO) run ./cmd/benchjson -compare BENCH_schedule.json

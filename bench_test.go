@@ -593,53 +593,6 @@ func BenchmarkScheduleTorus32(b *testing.B) {
 	benchScheduleLarge(b, cliutil.Torus32Topo, cliutil.Torus32BW)
 }
 
-// BenchmarkColdVsWarmStartTenCube is the warm-start acceptance
-// benchmark: the first solve on the 10-cube scale target, cold versus
-// snapshot-hydrated. Cold pays the full structure derivation — path
-// candidates, LSD baseline, validation — before scheduling; Warm
-// decodes a pre-baked solver snapshot and must reach the same result
-// with zero structure builds. The gap is what a restarting srschedd
-// replica saves per structure when it hydrates from -warmstart-dir or
-// a peer.
-func BenchmarkColdVsWarmStartTenCube(b *testing.B) {
-	p := layeredLargeProblem(b, cliutil.TenCubeTopo, cliutil.TenCubeBW)
-	opts := schedule.Options{Seed: 1}
-	const key = "bench|tencube"
-
-	pre := schedule.NewSolver(p)
-	if _, err := pre.Solve(context.Background(), p.TauIn, opts); err != nil {
-		b.Fatal(err)
-	}
-	var buf bytes.Buffer
-	if err := schedule.EncodeSolverSnapshot(&buf, pre, key); err != nil {
-		b.Fatal(err)
-	}
-	snap := buf.Bytes()
-
-	b.Run("Cold", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			s := schedule.NewSolver(p)
-			if _, err := s.Solve(context.Background(), p.TauIn, opts); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("Warm", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			s, err := schedule.DecodeSolverSnapshot(bytes.NewReader(snap), p, key)
-			if err != nil {
-				b.Fatal(err)
-			}
-			if _, err := s.Solve(context.Background(), p.TauIn, opts); err != nil {
-				b.Fatal(err)
-			}
-			if st := s.CacheStats(); st.BaselineBuilds != 0 || st.CandidateBuilds != 0 {
-				b.Fatalf("warm solve re-derived structure: %+v", st)
-			}
-		}
-	})
-}
-
 // BenchmarkScheduleBatch64 is the batch acceptance benchmark: 64
 // same-structure items submitted as one /v1/schedule:batch request
 // versus 64 sequential /v1/schedule calls against the same server.

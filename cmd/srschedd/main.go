@@ -7,8 +7,6 @@
 //
 //	srschedd -listen :8080
 //	srschedd -listen :8080 -pprof-addr localhost:6060
-//	srschedd -listen :8080 -warmstart-dir /var/lib/srschedd/snapshots
-//	srschedd -listen :8081 -warmstart-dir shared/ -peers http://a:8081,http://b:8082 -self http://a:8081
 //	srschedd -version
 //	curl -s localhost:8080/v1/schedule -d '{"problem":{"tfg":"dvb:4","topology":"cube:6","tau_in":141}}'
 //	curl -s 'localhost:8080/v1/schedule?debug=trace' -d '...' | traceview -text
@@ -30,7 +28,6 @@ import (
 	"net/http/pprof"
 	"os"
 	"os/signal"
-	"strings"
 	"syscall"
 	"time"
 
@@ -49,11 +46,6 @@ func main() {
 	flag.DurationVar(&drain, "drain-timeout", 30*time.Second, "graceful-shutdown drain deadline")
 	flag.DurationVar(&drain, "drain", 30*time.Second, "alias for -drain-timeout")
 	pprofAddr := flag.String("pprof-addr", "", "serve net/http/pprof on this separate address (e.g. localhost:6060); never exposed on the serving port")
-	warmDir := flag.String("warmstart-dir", "", "directory for solver-structure snapshots (write-behind on first build, read before cold derivation; sharable between replicas)")
-	warmMax := flag.Int("warmstart-max", 256, "snapshot files kept in -warmstart-dir before LRU eviction")
-	peersFlag := flag.String("peers", "", "comma-separated fleet base URLs (including -self); enables shard routing by structure key")
-	self := flag.String("self", "", "this replica's own base URL, required with -peers")
-	shardPolicy := flag.String("shard-policy", "proxy", "misrouted-request policy: proxy (forward to the owning shard) or serve (handle locally, record a miss)")
 	version := flag.Bool("version", false, "print version information and exit")
 	flag.Parse()
 
@@ -66,35 +58,6 @@ func main() {
 		fmt.Fprintln(os.Stderr, "srschedd: -pprof-addr must differ from -listen; the profiler is never served on the API port")
 		os.Exit(2)
 	}
-	if *shardPolicy != "proxy" && *shardPolicy != "serve" {
-		fmt.Fprintf(os.Stderr, "srschedd: -shard-policy %q: want proxy or serve\n", *shardPolicy)
-		os.Exit(2)
-	}
-	var peers []string
-	if *peersFlag != "" {
-		inFleet := false
-		for _, p := range strings.Split(*peersFlag, ",") {
-			p = strings.TrimSuffix(strings.TrimSpace(p), "/")
-			if p == "" {
-				continue
-			}
-			peers = append(peers, p)
-			if p == *self {
-				inFleet = true
-			}
-		}
-		if *self == "" || !inFleet {
-			fmt.Fprintln(os.Stderr, "srschedd: -peers requires -self, and -self must be one of the peers")
-			os.Exit(2)
-		}
-	}
-	if *warmDir != "" {
-		// Fail on a bad directory at startup, not on the first solve.
-		if err := os.MkdirAll(*warmDir, 0o755); err != nil {
-			fmt.Fprintln(os.Stderr, "srschedd: -warmstart-dir:", err)
-			os.Exit(2)
-		}
-	}
 
 	log := slog.New(slog.NewJSONHandler(os.Stderr, nil))
 	srv := service.New(service.Config{
@@ -104,11 +67,6 @@ func main() {
 		RequestTimeout: *timeout,
 		MaxBodyBytes:   *maxBody,
 		Logger:         log,
-		WarmStartDir:   *warmDir,
-		WarmStartMax:   *warmMax,
-		Peers:          peers,
-		SelfURL:        *self,
-		ShardPolicy:    *shardPolicy,
 	})
 	hs := &http.Server{Addr: *listen, Handler: srv.Handler()}
 

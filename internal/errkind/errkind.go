@@ -32,9 +32,9 @@ var (
 	// shutdown or its solve queue is full. The request was fine; retry
 	// against a less busy instance.
 	ErrUnavailable = errors.New("unavailable")
-	// ErrNotFound marks a lookup of an artifact the server does not
-	// hold — e.g. a warm-start snapshot for a structure key this
-	// replica has never built and never stored.
+	// ErrNotFound marks a lookup of something the server does not
+	// hold: an unknown watch subscription id or a tenant id that was
+	// never admitted.
 	ErrNotFound = errors.New("not found")
 	// ErrAdmissionRejected marks a tenant admission the co-scheduler
 	// declined: no rung of the degradation ladder fit the candidate into

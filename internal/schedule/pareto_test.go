@@ -199,7 +199,9 @@ func TestExploreOmegaByteIdentity(t *testing.T) {
 	for i, pt := range front.Points {
 		prob := p
 		prob.Assignment = front.Placements[pt.Placement].Assignment
-		direct, err := NewSolver(prob).Solve(context.Background(), pt.TauIn, opt.With(WithWindow(pt.Window)))
+		popt := opt
+		popt.Window = pt.Window
+		direct, err := NewSolver(prob).Solve(context.Background(), pt.TauIn, popt)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -32,49 +32,12 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 			errkind.ErrBadInput), nil)
 		return
 	}
-	// A batch is proxied wholesale only when every item maps to the
-	// same non-self owner; mixed batches are served locally (recording
-	// a miss per misrouted item) rather than split across the fleet.
-	if owner := s.batchShardOwner(r, req.Items); owner != "" {
-		s.proxy(w, r, owner, req)
-		return
-	}
 	if err := s.admit(r.Context()); err != nil {
 		s.writeError(w, err, nil)
 		return
 	}
 	defer s.release()
 	writeJSON(w, s.batch(r.Context(), req))
-}
-
-// batchOwner reports the single ring owner shared by every item, or
-// uniform=false when items hash to different replicas.
-func (s *Server) batchOwner(items []schedroute.ScheduleRequest) (string, bool) {
-	owner := s.ring.owner(items[0].Problem.StructureKey())
-	for _, it := range items[1:] {
-		if s.ring.owner(it.Problem.StructureKey()) != owner {
-			return "", false
-		}
-	}
-	return owner, true
-}
-
-// batchShardOwner is shardOwner for a whole batch: a non-empty return
-// proxies the batch to that peer. Serving locally records one local
-// miss per item another replica owns.
-func (s *Server) batchShardOwner(r *http.Request, items []schedroute.ScheduleRequest) string {
-	if s.ring == nil || r.Header.Get(forwardedHeader) != "" {
-		return ""
-	}
-	if owner, uniform := s.batchOwner(items); uniform && owner != "" && owner != s.ring.self && s.cfg.ShardPolicy == shardPolicyProxy {
-		return owner
-	}
-	for _, it := range items {
-		if o := s.ring.owner(it.Problem.StructureKey()); o != "" && o != s.ring.self {
-			s.metrics.shardLocalMisses.Add(1)
-		}
-	}
-	return ""
 }
 
 // batchGroup is one unique sub-request: items with identical problem,

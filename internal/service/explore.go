@@ -28,10 +28,6 @@ func (s *Server) handleExplore(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	s.metrics.observeTenantRequest("explore", schedroute.TenantOrDefault(req.Tenant).ID)
-	if owner := s.shardOwner(r, req.Problem.StructureKey()); owner != "" {
-		s.proxy(w, r, owner, req)
-		return
-	}
 	root := requestSpan(r, "explore")
 	qs := root.Start(SpanQueueWait)
 	if err := s.admit(r.Context()); err != nil {
@@ -84,7 +80,6 @@ func (s *Server) explore(ctx context.Context, req schedroute.ExploreRequest, roo
 	if err != nil {
 		return nil, err
 	}
-	s.persistSnapshot(ent)
 	s.metrics.observeExplore(out.Mode, len(out.Points)+out.Evaluated, len(out.Front))
 	return out, nil
 }

@@ -32,13 +32,7 @@ type Metrics struct {
 	coalesced int64 // requests served by joining an in-flight solve
 	queued    atomic.Int64
 
-	// Fleet counters: snapshot hydration outcomes, batch volume, and
-	// shard routing decisions.
-	warmstartHits    atomic.Int64 // solver builds hydrated from a snapshot (disk or peer)
-	warmstartMisses  atomic.Int64 // solver builds that derived cold with hydration enabled
-	batchItems       atomic.Int64 // sub-requests processed through /v1/schedule:batch
-	shardProxied     atomic.Int64 // requests forwarded to their owning shard
-	shardLocalMisses atomic.Int64 // requests served locally though another shard owns them
+	batchItems atomic.Int64 // sub-requests processed through /v1/schedule:batch
 
 	// Exploration counters: runs by mode ("grid" or "pareto"), points
 	// reported (grid samples plus Pareto schedules evaluated), and
@@ -278,13 +272,6 @@ func (m *Metrics) WriteText(w io.Writer, cache *solverCache) {
 	fmt.Fprintln(w, "# TYPE srschedd_cache_evictions_total counter")
 	fmt.Fprintf(w, "srschedd_cache_evictions_total %d\n", evictions)
 
-	fmt.Fprintln(w, "# HELP srschedd_warmstart_hits_total Solver builds hydrated from a snapshot (disk or peer).")
-	fmt.Fprintln(w, "# TYPE srschedd_warmstart_hits_total counter")
-	fmt.Fprintf(w, "srschedd_warmstart_hits_total %d\n", m.warmstartHits.Load())
-	fmt.Fprintln(w, "# HELP srschedd_warmstart_misses_total Solver builds that derived structure cold with hydration enabled.")
-	fmt.Fprintln(w, "# TYPE srschedd_warmstart_misses_total counter")
-	fmt.Fprintf(w, "srschedd_warmstart_misses_total %d\n", m.warmstartMisses.Load())
-
 	fmt.Fprintln(w, "# HELP srschedd_batch_items Sub-requests processed through /v1/schedule:batch.")
 	fmt.Fprintln(w, "# TYPE srschedd_batch_items counter")
 	fmt.Fprintf(w, "srschedd_batch_items %d\n", m.batchItems.Load())
@@ -306,18 +293,11 @@ func (m *Metrics) WriteText(w io.Writer, cache *solverCache) {
 	fmt.Fprintln(w, "# TYPE srschedd_explore_front_points_total counter")
 	fmt.Fprintf(w, "srschedd_explore_front_points_total %d\n", m.exploreFrontPoints.Load())
 
-	fmt.Fprintln(w, "# HELP srschedd_shard_proxied_total Requests forwarded to their owning shard.")
-	fmt.Fprintln(w, "# TYPE srschedd_shard_proxied_total counter")
-	fmt.Fprintf(w, "srschedd_shard_proxied_total %d\n", m.shardProxied.Load())
-	fmt.Fprintln(w, "# HELP srschedd_shard_local_misses_total Requests served locally although another shard owns their structure.")
-	fmt.Fprintln(w, "# TYPE srschedd_shard_local_misses_total counter")
-	fmt.Fprintf(w, "srschedd_shard_local_misses_total %d\n", m.shardLocalMisses.Load())
-
 	tot := cache.solverBuildTotals()
-	fmt.Fprintln(w, "# HELP srschedd_solver_baseline_builds_total LSD baseline derivations across live cache entries (zero on a fully warm-started replica).")
+	fmt.Fprintln(w, "# HELP srschedd_solver_baseline_builds_total LSD baseline derivations across live cache entries.")
 	fmt.Fprintln(w, "# TYPE srschedd_solver_baseline_builds_total counter")
 	fmt.Fprintf(w, "srschedd_solver_baseline_builds_total %d\n", tot.BaselineBuilds)
-	fmt.Fprintln(w, "# HELP srschedd_solver_candidate_builds_total Path-candidate derivations across live cache entries (zero on a fully warm-started replica).")
+	fmt.Fprintln(w, "# HELP srschedd_solver_candidate_builds_total Path-candidate derivations across live cache entries.")
 	fmt.Fprintln(w, "# TYPE srschedd_solver_candidate_builds_total counter")
 	fmt.Fprintf(w, "srschedd_solver_candidate_builds_total %d\n", tot.CandidateBuilds)
 

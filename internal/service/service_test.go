@@ -438,11 +438,7 @@ func TestMetricsExposition(t *testing.T) {
 		"srschedd_queue_depth 0",
 		"srschedd_cache_entries 1",
 		"srschedd_cache_evictions_total 0",
-		"srschedd_warmstart_hits_total 0",
-		"srschedd_warmstart_misses_total 0",
 		"srschedd_batch_items 0",
-		"srschedd_shard_proxied_total 0",
-		"srschedd_shard_local_misses_total 0",
 		"srschedd_solver_baseline_builds_total 1",
 		"srschedd_solver_candidate_builds_total 1",
 		`srschedd_solve_stage_seconds_total{stage="assign"}`,

@@ -7,55 +7,61 @@ import (
 	"schedroute/internal/schedule"
 )
 
-// TestWireOptionsMapToSolverOptions is the wire half of the
-// functional-options drift contract: every field of the wire Options
-// maps to exactly one registered solver option. The Stats/CollectStats
-// pair is the one documented alias — both spellings resolve to the
-// single "stats" option — and every other field maps one-to-one. A
-// field added to the wire struct without a solver option (or renamed on
-// either side) fails here.
+// wireAliases maps a wire Options field to the schedule.Options field it
+// drives when the names differ: `"stats": true` is the documented alias
+// of `"collect_stats": true`.
+var wireAliases = map[string]string{"Stats": "CollectStats"}
+
+// solverOnlyFields are the schedule.Options fields with no wire
+// spelling: the service owns worker counts, tenant link shares and
+// tracing.
+var solverOnlyFields = map[string]bool{"Procs": true, "LinkCap": true, "Trace": true}
+
+// TestWireOptionsMapToSolverOptions is the drift contract between the
+// wire Options and schedule.Options: every wire field names a solver
+// field (directly or through wireAliases), and every solver field is
+// reached from the wire exactly once per spelling unless it is declared
+// solver-only. A field added or renamed on one side only fails here.
 func TestWireOptionsMapToSolverOptions(t *testing.T) {
-	typ := reflect.TypeOf(Options{})
-	counts := map[string]int{}
-	for i := 0; i < typ.NumField(); i++ {
-		f := typ.Field(i)
-		solverField := f.Name
-		if f.Name == "Stats" {
-			// The wire alias: `"stats": true` and `"collect_stats": true`
-			// both drive schedule.Options.CollectStats.
-			solverField = "CollectStats"
+	solver := reflect.TypeOf(schedule.Options{})
+	for name := range solverOnlyFields {
+		if _, ok := solver.FieldByName(name); !ok {
+			t.Errorf("solver-only field %s is not a schedule.Options field", name)
 		}
-		name, ok := schedule.OptionForField(solverField)
-		if !ok {
-			t.Errorf("wire Options field %s has no solver option (schedule.OptionForField(%q) missing)",
-				f.Name, solverField)
+	}
+	reached := map[string]int{}
+	wire := reflect.TypeOf(Options{})
+	for i := 0; i < wire.NumField(); i++ {
+		name := wire.Field(i).Name
+		target := name
+		if alias, ok := wireAliases[name]; ok {
+			target = alias
+		}
+		if _, ok := solver.FieldByName(target); !ok {
+			t.Errorf("wire Options field %s has no schedule.Options field %s", name, target)
 			continue
 		}
-		counts[name]++
+		reached[target]++
 	}
-	for name, n := range counts {
+	for i := 0; i < solver.NumField(); i++ {
+		name := solver.Field(i).Name
 		want := 1
-		if name == "stats" {
-			want = 2 // the documented Stats/CollectStats alias pair
+		if solverOnlyFields[name] {
+			want = 0
 		}
-		if n != want {
-			t.Errorf("solver option %q reached by %d wire fields, want %d", name, n, want)
+		for _, target := range wireAliases {
+			if target == name {
+				want++
+			}
 		}
-	}
-	// Solver-only options (procs, link_cap, trace) deliberately have no
-	// wire spelling: the service owns worker counts, tenant shares and
-	// tracing. Everything else must be reachable from the wire.
-	wireless := map[string]bool{"procs": true, "link_cap": true, "trace": true}
-	for _, name := range schedule.OptionNames() {
-		if !wireless[name] && counts[name] == 0 {
-			t.Errorf("solver option %q has no wire Options field and is not a declared solver-only option", name)
+		if reached[name] != want {
+			t.Errorf("schedule.Options field %s reached by %d wire fields, want %d", name, reached[name], want)
 		}
 	}
 }
 
 // TestToScheduleMatchesFunctionalOptions pins that the wire resolver
-// and the functional-options constructor build the same solver
-// configuration, so the two construction surfaces cannot diverge.
+// sets every wire-reachable solver field to the requested value.
 func TestToScheduleMatchesFunctionalOptions(t *testing.T) {
 	wire := Options{
 		Seed: 7, MaxPaths: 9, MaxOuter: 2, MaxInner: 30, Engine: "exact",
@@ -66,20 +72,12 @@ func TestToScheduleMatchesFunctionalOptions(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := schedule.NewOptions(
-		schedule.WithSeed(7),
-		schedule.WithMaxPaths(9),
-		schedule.WithMaxOuter(2),
-		schedule.WithMaxInner(30),
-		schedule.WithEngine(schedule.EngineExact),
-		schedule.WithWindow(120),
-		schedule.WithLSDOnly(true),
-		schedule.WithSyncMargin(0.5),
-		schedule.WithRetries(3),
-		schedule.WithSharedNodes(true),
-		schedule.WithStats(true),
-	)
+	want := schedule.Options{
+		Seed: 7, MaxPaths: 9, MaxOuter: 2, MaxInner: 30, Engine: schedule.EngineExact,
+		Window: 120, LSDOnly: true, SyncMargin: 0.5, Retries: 3,
+		AllowSharedNodes: true, CollectStats: true,
+	}
 	if !reflect.DeepEqual(got, want) {
-		t.Errorf("wire resolution diverged from functional options:\n got %+v\nwant %+v", got, want)
+		t.Errorf("wire resolution diverged:\n got %+v\nwant %+v", got, want)
 	}
 }
